@@ -177,6 +177,8 @@ class KernelModel:
     def attribute(self, base, attr):
         if isinstance(base, Buffer) and attr == "addr":
             return ValueSet([base])   # offset math keeps the tag
+        if base is PRIVATE_ALLOC and attr == "addr":
+            return ValueSet([base])   # an untagged buffer's pages
         if isinstance(base, GateRef):
             if attr == "entry":
                 return ValueSet([base.entry])

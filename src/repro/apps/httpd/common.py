@@ -11,12 +11,10 @@ sthread manipulates session keys it can never observe.
 
 from __future__ import annotations
 
-import threading
-
 from repro.apps.httpd import content
 from repro.core.errors import WedgeError
 from repro.core.kernel import Kernel
-from repro.net.serve import start_accept_loop
+from repro.net.serve import Server
 from repro.crypto.prf import MASTER_SECRET_LEN
 from repro.crypto.rng import DetRNG
 from repro.crypto.rsa import generate_keypair
@@ -84,11 +82,6 @@ class SessionState:
     def _write_u64(self, off, value):
         self.kernel.mem_write(self.addr + off, value.to_bytes(8, "big"))
 
-    def next_recv_seq(self):
-        seq = self._read_u64(_OFF_RECV_SEQ)
-        self._write_u64(_OFF_RECV_SEQ, seq + 1)
-        return seq
-
     def next_send_seq(self):
         seq = self._read_u64(_OFF_SEND_SEQ)
         self._write_u64(_OFF_SEND_SEQ, seq + 1)
@@ -138,12 +131,12 @@ class SessionState:
                     & _FLAG_HANDSHAKE_DONE)
 
 
-class HttpdBase:
+class HttpdBase(Server):
     """Common scaffolding for the three Apache variants.
 
-    Owns the kernel, the listener, the server RSA key (in tagged
-    memory), the accept loop thread, and per-variant statistics the
-    benchmarks read.
+    Owns the kernel, the server RSA key, and per-variant statistics the
+    benchmarks read; the listener and accept loop come from
+    :class:`~repro.net.serve.Server`.
     """
 
     variant = "base"
@@ -151,6 +144,7 @@ class HttpdBase:
     def __init__(self, network, addr, *, pages=None, seed="httpd",
                  tag_cache=True, key_bits=512, concurrent=False,
                  supervise=None, kernel=None, instance=None):
+        super().__init__()
         self.network = network
         self.addr = addr
         self.pages = dict(pages or content.DEFAULT_PAGES)
@@ -180,84 +174,42 @@ class HttpdBase:
         self.private_key = generate_keypair(self.rng.fork("rsa"),
                                             key_bits)
         self.public_key = self.private_key.public()
-        self._listen_fd = None
-        self._accept_runner = None
-        self._stop = threading.Event()
-        self.connections_served = 0
         self.requests_served = 0
-        self.errors = []
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    def start(self):
-        """Bind the listener and start accepting connections."""
-        if self._accept_runner is not None:
-            raise WedgeError("server already started")
-        self._listen_fd = self.kernel.listen(self.addr)
-        self._accept_runner = start_accept_loop(
-            self.kernel, self._listen_fd, self._on_conn,
-            stop=self._stop, name=f"{self.variant}-accept",
-            concurrent=self.concurrent)
-        return self
-
-    def stop(self):
-        self._stop.set()
-        try:
-            self.kernel.close(self._listen_fd)
-        except WedgeError:
-            pass
-        if self._accept_runner is not None:
-            self._accept_runner.join(5.0)
+    # -- serving -----------------------------------------------------------------
 
     def _on_conn(self, conn_fd):
-        self.connections_served += 1
-        if self.kernel.scheduler == "reactor" and not self.concurrent:
-            return self._co_connection(conn_fd)
-        return lambda: self._handle_safely(conn_fd)
+        job = super()._on_conn(conn_fd)
+        if self.concurrent:
+            return job
+        return self._after_first_byte(conn_fd, job)
 
-    def _co_connection(self, conn_fd):
-        """Cooperative connection job — the default under the reactor.
+    def _after_first_byte(self, conn_fd, job):
+        """Sequential serving: park until the client speaks, then serve.
 
-        The acceptor task parks here until the client's first bytes
-        arrive (a connection that never speaks costs no pool thread
-        while it dawdles), then serves the connection *inline*.  The
-        handler itself stays ordinary blocking code: first-byte
-        readiness means its opening read returns immediately, and the
-        single-task sequencing — accept, wait, serve, accept — is the
-        same serving order as the threaded oracle, so the scheduler
-        differential suite keeps comparing byte-for-byte.
+        The acceptor waits for the client's first bytes (a connection
+        that never speaks costs no pool thread while it dawdles), then
+        runs the blocking handler inline: first-byte readiness means its
+        opening read returns at once, and the accept, wait, serve,
+        accept order is the same under either scheduler.
         """
         try:
             yield from self.kernel.co_wait_readable(conn_fd)
         except WedgeError:
             pass    # timed out or reset: the handler's read reports it
-        self._handle_safely(conn_fd)
+        job()
 
     def _serve_cycle(self):
         """Analysis root: one accept-serve cycle.
 
-        This is the privilege envelope of the accept loop — identical
-        syscall/descriptor surface whichever runner (thread or reactor)
-        drives it; the policy verifier analyzes this instead of the
-        scheduler-specific loop plumbing in repro.net.serve.
+        This is the privilege envelope of the accept loop — the accept
+        the threaded runner blocks in, then the per-connection wrapper
+        of :class:`repro.net.serve.Server`; the policy verifier analyzes
+        this instead of the scheduler-specific runners.
         """
-        conn_fd = self.kernel.accept(self._listen_fd, timeout=0.5)
+        conn_fd = self.kernel.accept(self._listen_fd, timeout=None)
         self.connections_served += 1
-        self._handle_safely(conn_fd)
-
-    def _handle_safely(self, conn_fd):
-        try:
-            self.handle_connection(conn_fd)
-        except WedgeError as exc:
-            self.errors.append(f"{type(exc).__name__}: {exc}")
-        finally:
-            try:
-                self.kernel.close(conn_fd)
-            except WedgeError:
-                pass
-
-    def handle_connection(self, conn_fd):
-        raise NotImplementedError
+        self._serve(conn_fd)
 
     # -- shared helpers ----------------------------------------------------------
 

@@ -163,20 +163,21 @@ class MonolithicHttpd(HttpdBase):
         of any exploit in this fully privileged compartment.
         """
         kernel = self.kernel
-        if self._cgi_scratch is None:
-            self._cgi_scratch = kernel.alloc_buf(content.CGI_REGION)
+        scratch = self._cgi_scratch
+        if scratch is None:
+            scratch = self._cgi_scratch = kernel.alloc_buf(
+                content.CGI_REGION)
         maybe_trigger_exploit(kernel, path.encode("latin-1"), context={
             "variant": self.variant,
             "cgi_mode": CGI_INLINE,
             "kernel": kernel,
-            "addr": self._cgi_scratch.addr,
+            "addr": scratch.addr,
             "prev": self._last_cgi,
             "key_buf": self.key_buf,
         })
         body = content.render_dynamic(path, self._cgi_salt)
-        kernel.mem_write(self._cgi_scratch.addr,
-                         len(body).to_bytes(2, "big") + body)
-        self._last_cgi = {"addr": self._cgi_scratch.addr,
+        kernel.mem_write(scratch.addr, len(body).to_bytes(2, "big") + body)
+        self._last_cgi = {"addr": scratch.addr,
                           "len": content.CGI_REGION,
                           "tag": "heap"}
         return body

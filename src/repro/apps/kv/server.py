@@ -26,8 +26,8 @@ Three privilege islands, mirroring the balancer's discipline:
 Replies flow back through a fourth, trivially-privileged island: a
 ``kv-writer`` sthread that pumps a reply pipe out to the client fd
 (write-only).  The parser's *client* fd grant stays read-only end to
-end — it streams reply lines into the pipe as it parses, so one
-long-lived connection (httpd's cache-aside client keeps one open) pays
+end — it writes each burst of replies into the pipe as it parses, so
+one long-lived connection (httpd's cache-aside client keeps one open) pays
 the two-sthread setup once and then costs a few syscalls plus two gate
 hops per operation.  Both gates are *standing*: main creates them at
 boot and delegates their ids, so no per-connection gate instantiation
@@ -41,8 +41,6 @@ one bad command line.
 
 from __future__ import annotations
 
-import threading
-
 from repro.apps.kv import store
 from repro.apps.kv.wal import WalLayout, WriteAheadLog
 from repro.attacks.exploit import maybe_trigger_exploit
@@ -52,7 +50,8 @@ from repro.core.kernel import Kernel
 from repro.core.memory import PROT_RW
 from repro.core.policy import (FD_READ, FD_RW, FD_WRITE, SecurityContext,
                                sc_cgate_add, sc_fd_add, sc_mem_add)
-from repro.net.serve import start_accept_loop
+from repro.core.reactor import run_blocking
+from repro.net.serve import Server
 
 #: Cache policies (ROADMAP item 3's scalability-pattern triple).
 CACHE_ASIDE = "cache-aside"
@@ -485,7 +484,7 @@ def _recover_store(kernel, trusted, wal):
 
 # -- the partitioned server --------------------------------------------------
 
-class KvServer:
+class KvServer(Server):
     """Parser / storage engine / eviction engine, one island each."""
 
     variant = "kv"
@@ -500,6 +499,7 @@ class KvServer:
                  tap=None):
         if policy not in POLICIES:
             raise WedgeError(f"unknown cache policy {policy!r}")
+        super().__init__()
         self.network = network
         self.addr = addr
         self.policy = policy
@@ -606,32 +606,7 @@ class KvServer:
                 self._store_gate.id, None, {"op": "recover"})
             self.recovery_cycles = kernel.costs.delta(mark)
 
-        self._listen_fd = None
-        self._accept_runner = None
-        self._stop = threading.Event()
-        self.connections_served = 0
-        self.errors = []
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self):
-        if self._accept_runner is not None:
-            raise WedgeError("kv already started")
-        self._listen_fd = self.kernel.listen(self.addr)
-        self._accept_runner = start_accept_loop(
-            self.kernel, self._listen_fd, self._on_conn,
-            stop=self._stop, name="kv-accept",
-            concurrent=self.concurrent)
-        return self
-
-    def stop(self):
-        self._stop.set()
-        try:
-            self.kernel.close(self._listen_fd)
-        except WedgeError:
-            pass
-        if self._accept_runner is not None:
-            self._accept_runner.join(5.0)
+    # -- state -------------------------------------------------------------
 
     def store_bytes(self):
         """The full ``kv-store`` region (main created the tag)."""
@@ -644,30 +619,15 @@ class KvServer:
 
     # -- data plane --------------------------------------------------------
 
-    def _on_conn(self, conn_fd):
-        self.connections_served += 1
-        if self.kernel.scheduler == "reactor":
-            return self._co_connection(conn_fd)
-        return lambda: self._handle_safely(conn_fd)
-
-    def _handle_safely(self, conn_fd):
-        try:
-            self.handle_connection(conn_fd)
-        except WedgeError as exc:
-            self.errors.append(f"{type(exc).__name__}: {exc}")
-        finally:
-            try:
-                self.kernel.close(conn_fd)
-            except WedgeError:
-                pass
-
     def _spawn_islands(self, conn_fd):
         """Build one connection's compartments: parser, writer, pipe.
 
         The parser's client-fd grant is read-only; the writer's is
         write-only.  Replies cross between them over a pipe so one
         persistent connection can carry any number of pipelined
-        commands without re-paying compartment setup.
+        commands without re-paying compartment setup.  The parser is
+        created last, so every setup charge lands on the cycle clock
+        before its first TTL stamp.
         """
         kernel = self.kernel
         n = self.connections_served
@@ -679,23 +639,38 @@ class KvServer:
         writer_sc = SecurityContext()
         sc_fd_add(writer_sc, pipe_r, FD_READ)
         sc_fd_add(writer_sc, conn_fd, FD_WRITE)
-        parser = kernel.sthread_create(
-            sc, self._parser_body, {"fd": conn_fd, "out": pipe_w},
-            name=f"kv-parser{n}", spawn="thread",
-            supervise=self.supervise)
         writer = kernel.sthread_create(
             writer_sc, self._writer_body,
             {"src": pipe_r, "dst": conn_fd},
             name=f"kv-writer{n}", spawn="thread",
             supervise=self.supervise)
+        parser = kernel.sthread_create(
+            sc, self._parser_body, {"fd": conn_fd, "out": pipe_w},
+            name=f"kv-parser{n}", spawn="thread",
+            supervise=self.supervise)
         return parser, writer, pipe_r, pipe_w
 
     def handle_connection(self, conn_fd):
-        """Parser streams replies into a pipe; a writer pumps them out."""
+        """Parser streams replies into a pipe; a writer pumps them out.
+
+        One body for both schedulers, written over ``co_*``.  The httpd
+        tier parks one *persistent* pipelined connection per replica
+        here, so a connection is long-lived by design: it waits for the
+        client's first bytes, builds the islands, then parks on
+        ``co_sthread_join`` until they exit (the islands themselves are
+        OS threads; their bodies block on the client fd).  Under the
+        reactor N connections cost N parked continuations, not N pool
+        threads; under threads the same waits block this connection's
+        thread.
+        """
         kernel = self.kernel
+        try:
+            yield from kernel.co_wait_readable(conn_fd)
+        except WedgeError:
+            pass    # timed out or reset: the parser's read reports it
         parser, writer, pipe_r, pipe_w = self._spawn_islands(conn_fd)
         try:
-            kernel.sthread_join(parser, timeout=30.0)
+            yield from kernel.co_sthread_join(parser, timeout=30.0)
         except (SthreadFaulted, CompartmentDown) as exc:
             # contained: this connection drops, the store and the
             # metadata are untouched and the listener lives on
@@ -707,7 +682,7 @@ class KvServer:
             except WedgeError:
                 pass
         try:
-            kernel.sthread_join(writer, timeout=30.0)
+            yield from kernel.co_sthread_join(writer, timeout=30.0)
         except (SthreadFaulted, CompartmentDown) as exc:
             self.errors.append(f"writer faulted: {exc}")
         try:
@@ -715,60 +690,16 @@ class KvServer:
         except WedgeError:
             pass
 
-    def _co_connection(self, conn_fd):
-        """Cooperative connection job — the kv shape under the reactor.
-
-        The httpd tier parks one *persistent* pipelined connection per
-        replica on this server, so (unlike httpd's own short requests)
-        a connection here is long-lived by design: serving it inline or
-        on the size-1 offload pool would starve every other client.
-        Instead the job parks on the reactor twice over — first-byte
-        readiness, then ``co_sthread_join`` on the worker islands (the
-        islands themselves stay OS threads; their bodies block on the
-        client fd).  N connections cost N parked continuations, not N
-        pool threads, and the compartment split is byte-for-byte the
-        threaded path's.
-        """
-        kernel = self.kernel
-        try:
-            yield from kernel.co_wait_readable(conn_fd)
-        except WedgeError:
-            pass    # timed out or reset: the parser's read reports it
-        try:
-            parser, writer, pipe_r, pipe_w = self._spawn_islands(conn_fd)
-            try:
-                yield from kernel.co_sthread_join(parser, timeout=30.0)
-            except (SthreadFaulted, CompartmentDown) as exc:
-                self.errors.append(f"parser faulted: {exc}")
-            finally:
-                try:
-                    kernel.close(pipe_w)
-                except WedgeError:
-                    pass
-            try:
-                yield from kernel.co_sthread_join(writer, timeout=30.0)
-            except (SthreadFaulted, CompartmentDown) as exc:
-                self.errors.append(f"writer faulted: {exc}")
-            try:
-                kernel.close(pipe_r)
-            except WedgeError:
-                pass
-        except WedgeError as exc:
-            self.errors.append(f"{type(exc).__name__}: {exc}")
-        finally:
-            try:
-                kernel.close(conn_fd)
-            except WedgeError:
-                pass
-
     # -- compartment bodies ------------------------------------------------
 
     def _parser_body(self, arg):
         """The parser compartment: untrusted lines -> storage gate.
 
-        Reply lines stream into the pipe (``out``) one at a time, so
-        pipelined commands on a long-lived connection are answered as
-        they are parsed.
+        Replies to a burst of pipelined commands go into the pipe
+        (``out``) as one write, made before the parser next waits for
+        input, so a long-lived connection is answered burst by burst
+        and the writer's syscall count does not depend on how it races
+        the parser.
         """
         kernel = self.kernel
         fd = arg["fd"]
@@ -778,8 +709,12 @@ class KvServer:
             if kernel.gate_record(gate_id).entry.__name__ == "store_gate":
                 store_id = gate_id
         buf = bytearray()
+        replies = []
         while True:
             while b"\r\n" not in buf:
+                if replies:
+                    kernel.send(out, b"".join(replies))
+                    replies = []
                 try:
                     chunk = kernel.recv(fd, 4096, timeout=10.0)
                 except NetworkError:
@@ -801,25 +736,39 @@ class KvServer:
                 "evict_gate_id": self._evict_gate.id,
             })
             if line.strip().upper() == b"QUIT":
-                kernel.send(out, b"BYE\r\n")
+                replies.append(b"BYE\r\n")
                 break
             op, err = parse_command(line)
             if err is not None:
-                kernel.send(out, b"ERR " + err + b"\r\n")
+                replies.append(b"ERR " + err + b"\r\n")
                 continue
             try:
                 reply = kernel.cgate(store_id, None, op)
             except (CallgateError, CompartmentDown):
-                kernel.send(out, b"ERR storage unavailable\r\n")
+                replies.append(b"ERR storage unavailable\r\n")
                 continue
-            kernel.send(out, format_reply(op["op"], reply) + b"\r\n")
+            replies.append(format_reply(op["op"], reply) + b"\r\n")
+        if replies:
+            kernel.send(out, b"".join(replies))
         return None
 
     def _writer_body(self, arg):
-        """The reply pump: pipe in, client fd out, half-close at EOF."""
+        """The reply pump: pipe in, client fd out, half-close at EOF.
+
+        It parks without a syscall until the parser's first burst
+        lands, so its first charge cannot race the parser's first TTL
+        stamp.  Later it re-enters ``recv`` as soon as it has forwarded
+        a reply — in practice ahead of the client's next command, but
+        not by construction (parking on every burst would cost a thread
+        hand-off per operation).
+        """
         kernel = self.kernel
         src = arg["src"]
         dst = arg["dst"]
+        try:
+            run_blocking(kernel.co_wait_readable(src))
+        except WedgeError:
+            pass    # timed out or reset: the recv below reports it
         while True:
             try:
                 data = kernel.recv(src, 4096, timeout=30.0)
@@ -840,7 +789,7 @@ class KvServer:
 
 # -- the monolithic contrast -------------------------------------------------
 
-class MonolithicKv:
+class MonolithicKv(Server):
     """Same protocol, no islands: parser and store share main's pages."""
 
     variant = "kv-mono"
@@ -852,6 +801,7 @@ class MonolithicKv:
                  store_region=DEFAULT_STORE_REGION):
         if policy not in POLICIES:
             raise WedgeError(f"unknown cache policy {policy!r}")
+        super().__init__()
         self.network = network
         self.addr = addr
         self.policy = policy
@@ -875,47 +825,8 @@ class MonolithicKv:
         self._store_region = store_region
         self.stats = _new_stats()
 
-        self._listen_fd = None
-        self._accept_runner = None
-        self._stop = threading.Event()
-        self.connections_served = 0
-        self.errors = []
-
-    def start(self):
-        if self._accept_runner is not None:
-            raise WedgeError("kv-mono already started")
-        self._listen_fd = self.kernel.listen(self.addr)
-        self._accept_runner = start_accept_loop(
-            self.kernel, self._listen_fd, self._on_conn,
-            stop=self._stop, name="kv-mono-accept")
-        return self
-
-    def stop(self):
-        self._stop.set()
-        try:
-            self.kernel.close(self._listen_fd)
-        except WedgeError:
-            pass
-        if self._accept_runner is not None:
-            self._accept_runner.join(5.0)
-
     def store_bytes(self):
         return bytes(self._store_buf.read())
-
-    def _on_conn(self, conn_fd):
-        self.connections_served += 1
-        return lambda: self._handle_safely(conn_fd)
-
-    def _handle_safely(self, conn_fd):
-        try:
-            self.handle_connection(conn_fd)
-        except WedgeError as exc:
-            self.errors.append(f"{type(exc).__name__}: {exc}")
-        finally:
-            try:
-                self.kernel.close(conn_fd)
-            except WedgeError:
-                pass
 
     def handle_connection(self, conn_fd):
         """Everything in main: parse, mutate the store, reply."""

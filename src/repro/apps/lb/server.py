@@ -33,7 +33,6 @@ plaintext it forwards.
 
 from __future__ import annotations
 
-import threading
 import time
 
 from repro.attacks.exploit import maybe_trigger_exploit
@@ -46,7 +45,7 @@ from repro.core.kernel import Kernel
 from repro.core.memory import PROT_READ, PROT_RW
 from repro.core.policy import (FD_READ, FD_WRITE, SecurityContext,
                                sc_cgate_add, sc_fd_add, sc_mem_add)
-from repro.net.serve import start_accept_loop
+from repro.net.serve import Server
 from repro.observe.events import (CLUSTER_EJECTED, CLUSTER_FAILOVER,
                                   CLUSTER_RECOVERED)
 from repro.resilience import CLOSED, OPEN, CircuitBreaker
@@ -209,7 +208,7 @@ def health_gate(trusted, arg):
 # -- the server --------------------------------------------------------------
 
 
-class LbServer:
+class LbServer(Server):
     """The partitioned balancer: listener / router / health-checker."""
 
     variant = "lb"
@@ -218,6 +217,7 @@ class LbServer:
                  failure_threshold=1, breaker_policy=None,
                  probe_timeout=2.0, clock=time.monotonic, supervise=None,
                  managed=(), name="lb"):
+        super().__init__()
         self.network = network
         self.addr = addr
         #: list of {"name", "addr", "health"} dicts, index == ring index
@@ -278,36 +278,19 @@ class LbServer:
             health_gate, health_sc, self._health_trusted,
             supervise=supervise)
 
-        self._listen_fd = None
-        self._accept_runner = None
-        self._stop = threading.Event()
-        self.connections_served = 0
         self.requests_forwarded = 0
         self.last_backend = None
-        self.errors = []
         self.workers = []
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self):
-        if self._accept_runner is not None:
-            raise WedgeError("lb already started")
         for server in self.managed:
             server.start()
-        self._listen_fd = self.kernel.listen(self.addr)
-        self._accept_runner = start_accept_loop(
-            self.kernel, self._listen_fd, self._on_conn,
-            stop=self._stop, name="lb-accept")
-        return self
+        return super().start()
 
     def stop(self):
-        self._stop.set()
-        try:
-            self.kernel.close(self._listen_fd)
-        except WedgeError:
-            pass
-        if self._accept_runner is not None:
-            self._accept_runner.join(5.0)
+        super().stop()
         for server in self.managed:
             server.stop()
 
@@ -328,21 +311,6 @@ class LbServer:
         return bytes(self._health_buf.read())
 
     # -- data plane --------------------------------------------------------
-
-    def _on_conn(self, conn_fd):
-        self.connections_served += 1
-        return lambda: self._handle_safely(conn_fd)
-
-    def _handle_safely(self, conn_fd):
-        try:
-            self.handle_connection(conn_fd)
-        except WedgeError as exc:
-            self.errors.append(f"{type(exc).__name__}: {exc}")
-        finally:
-            try:
-                self.kernel.close(conn_fd)
-            except WedgeError:
-                pass
 
     def handle_connection(self, conn_fd):
         """Listener sthread for the preamble, then splice to a replica."""

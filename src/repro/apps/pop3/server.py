@@ -21,15 +21,13 @@ all mail.
 
 from __future__ import annotations
 
-import threading
-
 from repro.apps.pop3 import store
 from repro.attacks.exploit import maybe_trigger_exploit
 from repro.core.errors import (CallgateError, CompartmentDown,
-                               ProtocolError, SthreadFaulted, WedgeError)
+                               ProtocolError, SthreadFaulted)
 from repro.core.kernel import Kernel
 from repro.core.memory import PROT_READ, PROT_RW
-from repro.net.serve import start_accept_loop
+from repro.net.serve import Server
 from repro.core.policy import (FD_RW, SecurityContext, sc_cgate_add,
                                sc_fd_add, sc_mem_add)
 
@@ -230,11 +228,12 @@ class DirectAdapter:
 # -- the servers ---------------------------------------------------------------------
 
 
-class Pop3Base:
+class Pop3Base(Server):
     variant = "base"
 
     def __init__(self, network, addr, *, accounts=None, mail=None,
                  partitioned=True, supervise=None):
+        super().__init__()
         self.network = network
         self.addr = addr
         #: optional RestartPolicy applied to per-connection handlers
@@ -243,46 +242,10 @@ class Pop3Base:
         self.main = self.kernel.start_main()
         self.accounts = dict(accounts or store.DEFAULT_ACCOUNTS)
         self.mail = dict(mail or store.DEFAULT_MAIL)
-        self._listen_fd = None
-        self._accept_runner = None
-        self._stop = threading.Event()
-        self.connections_served = 0
-        self.errors = []
         self._install_data()
 
     def _install_data(self):
         raise NotImplementedError
-
-    def start(self):
-        self._listen_fd = self.kernel.listen(self.addr)
-        self._accept_runner = start_accept_loop(
-            self.kernel, self._listen_fd, self._on_conn,
-            stop=self._stop, name=f"pop3-{self.variant}-accept")
-        return self
-
-    def stop(self):
-        self._stop.set()
-        try:
-            self.kernel.close(self._listen_fd)
-        except WedgeError:
-            pass
-        if self._accept_runner is not None:
-            self._accept_runner.join(5.0)
-
-    def _on_conn(self, conn_fd):
-        self.connections_served += 1
-        return lambda: self._handle_safely(conn_fd)
-
-    def _handle_safely(self, conn_fd):
-        try:
-            self.handle_connection(conn_fd)
-        except WedgeError as exc:
-            self.errors.append(f"{type(exc).__name__}: {exc}")
-        finally:
-            try:
-                self.kernel.close(conn_fd)
-            except WedgeError:
-                pass
 
 
 class MonolithicPop3(Pop3Base):

@@ -9,11 +9,8 @@ empty chroot directory, and the server's DSA host key pair.
 
 from __future__ import annotations
 
-import threading
-
-from repro.core.errors import WedgeError
 from repro.core.kernel import Kernel
-from repro.net.serve import start_accept_loop
+from repro.net.serve import Server
 from repro.crypto import skey as skeymod
 from repro.crypto.dsa import generate_keypair
 from repro.crypto.rng import DetRNG
@@ -85,18 +82,15 @@ class SshdEnvironment:
                        owner=0, mode=0o600)
         vfs.mkdir(EMPTY_DIR)
 
-    def passwd_for(self, name):
-        spec = self.users[name]
-        return userauth.Passwd(name, spec["uid"], f"/home/{name}")
 
-
-class SshdBase:
-    """Accept-loop scaffolding shared by the three sshd variants."""
+class SshdBase(Server):
+    """Host environment and kernel shared by the three sshd variants."""
 
     variant = "base"
 
     def __init__(self, network, addr, *, seed="sshd", env=None,
                  tag_cache=True, supervise=None):
+        super().__init__()
         self.network = network
         self.addr = addr
         self.rng = DetRNG(seed)
@@ -107,45 +101,4 @@ class SshdBase:
         self.main = self.kernel.start_main()
         self.env.populate(self.kernel.vfs)
         self.host_pub_bytes = self.env.host_key.public().to_bytes()
-        self._listen_fd = None
-        self._accept_runner = None
-        self._stop = threading.Event()
-        self.connections_served = 0
         self.logins = 0
-        self.errors = []
-
-    def start(self):
-        if self._accept_runner is not None:
-            raise WedgeError("server already started")
-        self._listen_fd = self.kernel.listen(self.addr)
-        self._accept_runner = start_accept_loop(
-            self.kernel, self._listen_fd, self._on_conn,
-            stop=self._stop, name=f"sshd-{self.variant}-accept")
-        return self
-
-    def stop(self):
-        self._stop.set()
-        try:
-            self.kernel.close(self._listen_fd)
-        except WedgeError:
-            pass
-        if self._accept_runner is not None:
-            self._accept_runner.join(5.0)
-
-    def _on_conn(self, conn_fd):
-        self.connections_served += 1
-        return lambda: self._handle_safely(conn_fd)
-
-    def _handle_safely(self, conn_fd):
-        try:
-            self.handle_connection(conn_fd)
-        except WedgeError as exc:
-            self.errors.append(f"{type(exc).__name__}: {exc}")
-        finally:
-            try:
-                self.kernel.close(conn_fd)
-            except WedgeError:
-                pass
-
-    def handle_connection(self, conn_fd):
-        raise NotImplementedError

@@ -76,13 +76,6 @@ class MitmAttacker:
             return [v for k, v in sorted(self.loot.items.items())
                     if k.startswith("exfil")]
 
-    def wait_idle(self, timeout=10.0):
-        """Block until every pump thread has drained (tests)."""
-        with self._lock:
-            sessions = list(self.sessions)
-        for session in sessions:
-            session.join(timeout)
-
 
 class MitmSession:
     """One interposed connection: two pump threads plus a transcript."""

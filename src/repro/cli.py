@@ -359,13 +359,47 @@ def cmd_chaos(args):
     return 1 if failed else 0
 
 
-def cmd_overload(args):
+def _emit_and_check(report, args, name, measure, **check):
+    """Write ``BENCH_<name>.json`` to ``--out``, gate it on ``--check``.
+
+    Returns the command's exit code: 2 when the baseline is missing, 1
+    when the run failed or regressed, else 0.  *measure* names what a
+    clean check found within tolerance; *check* goes to
+    :func:`~repro.resilience.overload.check_artifact`.
+    """
     import json
     import os
 
-    from repro.resilience.overload import (check_artifact,
+    from repro.resilience.overload import check_artifact, write_artifact
+    failed = not report.passed
+    filename = f"BENCH_{name}.json"
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, filename)
+        write_artifact(report, path)
+        print(f"wrote {path}")
+    if args.check:
+        baseline_path = os.path.join(args.check, filename)
+        if not os.path.exists(baseline_path):
+            print(f"no baseline at {baseline_path}", file=sys.stderr)
+            return 2
+        with open(baseline_path) as fh:
+            baseline = json.load(fh)
+        problems = check_artifact(report.artifact(), baseline, **check)
+        if problems:
+            print(f"REGRESSION vs {baseline_path}:")
+            for problem in problems:
+                print(f"  {problem}")
+            failed = True
+        else:
+            print(f"{measure} within tolerance of {baseline_path}")
+    return 1 if failed else 0
+
+
+def cmd_overload(args):
+    from repro.resilience.overload import (SCALE_METRICS,
                                            overload_app_names,
-                                           run_overload, write_artifact)
+                                           run_overload)
     app_names = overload_app_names()
     names = [args.app] if args.app else list(app_names)
     unknown = [name for name in names if name not in app_names]
@@ -380,133 +414,39 @@ def cmd_overload(args):
                           scheduler=args.scheduler,
                           connections=args.connections)
     print(report.format())
-    failed = not report.passed
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "BENCH_overload.json")
-        write_artifact(report, path)
-        print(f"wrote {path}")
-    if args.check:
-        baseline_path = os.path.join(args.check, "BENCH_overload.json")
-        if not os.path.exists(baseline_path):
-            print(f"no baseline at {baseline_path}", file=sys.stderr)
-            return 2
-        with open(baseline_path) as fh:
-            baseline = json.load(fh)
-        problems = check_artifact(report.artifact(), baseline)
-        if problems:
-            print(f"REGRESSION vs {baseline_path}:")
-            for problem in problems:
-                print(f"  {problem}")
-            failed = True
-        else:
-            print(f"goodput within tolerance of {baseline_path}")
-    return 1 if failed else 0
+    return _emit_and_check(
+        report, args, "overload", "goodput",
+        optional=() if args.connections else SCALE_METRICS)
 
 
 def cmd_cluster(args):
-    import json
-    import os
-
     from repro.cluster.campaign import run_cluster
     from repro.core.kernel import Kernel
-    from repro.resilience.overload import check_artifact, write_artifact
     with Kernel.scheduler_override(args.scheduler):
         report = run_cluster(kernels=args.kernels,
                              replicas=args.replicas,
                              requests=args.requests, rounds=args.rounds,
                              seed=args.seed, kill=args.kill_kernel)
     print(report.format())
-    failed = not report.passed
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "BENCH_cluster.json")
-        write_artifact(report, path)
-        print(f"wrote {path}")
-    if args.check:
-        baseline_path = os.path.join(args.check, "BENCH_cluster.json")
-        if not os.path.exists(baseline_path):
-            print(f"no baseline at {baseline_path}", file=sys.stderr)
-            return 2
-        with open(baseline_path) as fh:
-            baseline = json.load(fh)
-        problems = check_artifact(report.artifact(), baseline)
-        if problems:
-            print(f"REGRESSION vs {baseline_path}:")
-            for problem in problems:
-                print(f"  {problem}")
-            failed = True
-        else:
-            print(f"goodput within tolerance of {baseline_path}")
-    return 1 if failed else 0
+    return _emit_and_check(report, args, "cluster", "goodput")
 
 
 def cmd_kv(args):
-    import json
-    import os
-
     from repro.apps.kv.campaign import run_kv
     from repro.core.kernel import Kernel
-    from repro.resilience.overload import check_artifact, write_artifact
     with Kernel.scheduler_override(args.scheduler):
         report = run_kv(ops=args.ops, seed=args.seed,
                         httpd=not args.no_httpd)
     print(report.format())
-    failed = not report.passed
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "BENCH_kv.json")
-        write_artifact(report, path)
-        print(f"wrote {path}")
-    if args.check:
-        baseline_path = os.path.join(args.check, "BENCH_kv.json")
-        if not os.path.exists(baseline_path):
-            print(f"no baseline at {baseline_path}", file=sys.stderr)
-            return 2
-        with open(baseline_path) as fh:
-            baseline = json.load(fh)
-        problems = check_artifact(report.artifact(), baseline)
-        if problems:
-            print(f"REGRESSION vs {baseline_path}:")
-            for problem in problems:
-                print(f"  {problem}")
-            failed = True
-        else:
-            print(f"model cycles within tolerance of {baseline_path}")
-    return 1 if failed else 0
+    return _emit_and_check(report, args, "kv", "model cycles")
 
 
 def cmd_recovery(args):
-    import json
-    import os
-
     from repro.apps.kv.recovery import run_recovery
-    from repro.resilience.overload import check_artifact, write_artifact
     report = run_recovery(seed=args.seed, ops=args.ops,
                           stride=args.stride)
     print(report.format())
-    failed = not report.passed
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "BENCH_recovery.json")
-        write_artifact(report, path)
-        print(f"wrote {path}")
-    if args.check:
-        baseline_path = os.path.join(args.check, "BENCH_recovery.json")
-        if not os.path.exists(baseline_path):
-            print(f"no baseline at {baseline_path}", file=sys.stderr)
-            return 2
-        with open(baseline_path) as fh:
-            baseline = json.load(fh)
-        problems = check_artifact(report.artifact(), baseline)
-        if problems:
-            print(f"REGRESSION vs {baseline_path}:")
-            for problem in problems:
-                print(f"  {problem}")
-            failed = True
-        else:
-            print(f"model cycles within tolerance of {baseline_path}")
-    return 1 if failed else 0
+    return _emit_and_check(report, args, "recovery", "model cycles")
 
 
 def cmd_observe(args):

@@ -11,20 +11,19 @@ connect-vs-close race fix extends to the probe path).
 
 from __future__ import annotations
 
-import threading
-
-from repro.core.errors import KernelDead, WedgeError
+from repro.core.errors import KernelDead
 from repro.core.kernel import Kernel
-from repro.net.serve import start_accept_loop
+from repro.net.serve import Server
 
 PING = b"ping"
 PONG = b"OK"
 
 
-class HealthResponder:
+class HealthResponder(Server):
     """Answer ``ping`` with ``OK`` on *addr*; one per cluster node."""
 
     def __init__(self, network, addr, *, kernel=None, name="health"):
+        super().__init__()
         self.network = network
         self.addr = addr
         if kernel is None:
@@ -32,46 +31,15 @@ class HealthResponder:
         self.kernel = kernel
         self.main = (kernel.main if kernel.main is not None
                      else kernel.start_main())
-        self._listen_fd = None
-        self._runner = None
-        self._stop = threading.Event()
         self.probes_answered = 0
-        self.errors = []
 
-    def start(self):
-        if self._runner is not None:
-            raise WedgeError("responder already started")
-        self._listen_fd = self.kernel.listen(self.addr)
-        self._runner = start_accept_loop(
-            self.kernel, self._listen_fd, self._on_conn,
-            stop=self._stop, name=f"health:{self.addr}")
-        return self
-
-    def stop(self):
-        self._stop.set()
-        try:
-            self.kernel.close(self._listen_fd)
-        except WedgeError:
-            pass
-        if self._runner is not None:
-            self._runner.join(5.0)
-
-    def _on_conn(self, conn_fd):
-        return lambda: self._answer(conn_fd)
-
-    def _answer(self, conn_fd):
+    def handle_connection(self, conn_fd):
         kernel = self.kernel
-        try:
-            if kernel.recv_exact(conn_fd, len(PING),
-                                 timeout=2.0) == PING:
-                kernel.send(conn_fd, PONG)
-                self.probes_answered += 1
-        except KernelDead:
-            return
-        except WedgeError as exc:
-            self.errors.append(f"{type(exc).__name__}: {exc}")
-        finally:
-            try:
-                kernel.close(conn_fd)
-            except WedgeError:
-                pass
+        if kernel.recv_exact(conn_fd, len(PING), timeout=2.0) == PING:
+            kernel.send(conn_fd, PONG)
+            self.probes_answered += 1
+
+    def _record(self, exc):
+        # the node's own death is its answer, not a responder error
+        if not isinstance(exc, KernelDead):
+            super()._record(exc)

@@ -217,6 +217,7 @@ class Kernel:
         #: network endpoints opened by this kernel's syscalls, so that
         #: kill() can tear the machine off the wire: listeners unbind,
         #: established connections reset (peers see PeerReset, not hangs)
+        #: — pipes too, so a thread parked on one wakes when the host dies
         self._owned_listeners = []
         self._owned_socks = []
         #: simulated disks opened on this kernel (repro.disk).  The
@@ -1536,6 +1537,7 @@ class Kernel:
         """Create a pipe; returns ``(read_fd, write_fd)``."""
         st = self._syscall("pipe")
         stream = ByteStream("pipe")
+        self._owned_socks.append(stream)
         rfd = st.fdtable.install(PipeOpenFile(stream, readable=True),
                                  FD_READ)
         wfd = st.fdtable.install(PipeOpenFile(stream, readable=False),

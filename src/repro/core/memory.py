@@ -453,10 +453,6 @@ class PageTable:
     def lookup(self, pageno):
         return self.entries.get(pageno)
 
-    def mapped_segments(self):
-        return {id(pte.segment): pte.segment for pte in
-                self.entries.values()}.values()
-
     def __len__(self):
         return len(self.entries)
 

@@ -132,6 +132,43 @@ def wait_done(task_or_gate, *, wake_at=None):
     return Wait(task_or_gate, Wait.DONE, wake_at=wake_at)
 
 
+def run_blocking(gen):
+    """Drive cooperative generator *gen* to completion on this thread.
+
+    The driver for ``co_*`` code outside a reactor (the threads
+    scheduler).  Each yielded :class:`Wait` parks the calling thread on
+    the endpoint's watcher until the predicate holds or ``wake_at``
+    passes; the resumed generator re-probes and either issues its
+    unchanged syscall or raises its typed timeout.  Returns the
+    generator's return value; its exceptions propagate.
+    """
+    wake = threading.Event()
+
+    def watcher(_endpoint):   # rule 5: runs under the endpoint's lock
+        wake.set()
+
+    while True:
+        try:
+            wait = gen.send(None)
+        except StopIteration as stop:
+            return stop.value
+        if wait is None:
+            continue
+        endpoint = wait.endpoint
+        wake.clear()
+        endpoint.add_watcher(watcher)
+        try:
+            # rule 2: the watcher is attached before the probe; the
+            # resumed generator re-probes, so a spurious wake is harmless
+            if not wait.ready():
+                timeout = None
+                if wait.wake_at is not None:
+                    timeout = max(0.0, wait.wake_at - time.monotonic())
+                wake.wait(timeout)
+        finally:
+            endpoint.remove_watcher(watcher)
+
+
 class Task:
     """One cooperative continuation scheduled by a reactor.
 

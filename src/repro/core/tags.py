@@ -135,9 +135,6 @@ class TagManager:
     def get(self, tag_id):
         return self._tags.get(tag_id)
 
-    def live_tags(self):
-        return list(self._tags.values())
-
     # -- cache internals -----------------------------------------------------------
 
     def _take_cached(self, size):

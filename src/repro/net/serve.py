@@ -1,143 +1,189 @@
-"""Scheduler-aware accept loops: one serving skeleton for every app.
+"""The serving skeleton: one :class:`Server` base for every app.
 
-Every server in the tree (three httpd variants, pop3, sshd, the lb, the
-cluster health responder) runs the same skeleton: accept with a short
-timeout, tolerate transient errors, hand the connection to a handler,
-sequentially by default.  :func:`start_accept_loop` centralises it and
-picks the runner matching the kernel's scheduler:
+In Wedge the trusted master accepts each connection and hands it to
+per-connection compartments.  Every server in the tree (three httpd
+variants, pop3, three sshd variants, kv and its monolithic contrast,
+the lb, the cluster health responder) inherits that master-side
+plumbing from :class:`Server`: the listener, the stop event, the
+runner and the per-connection wrapper.  An app supplies only
+``handle_connection(conn_fd)`` — an ordinary blocking function, or a
+*generator* over the kernel's ``co_*`` calls — so the scheduler is only
+a driver:
 
-- ``scheduler="threads"``: the classic dedicated accept thread — the
-  deterministic reference oracle, byte-for-byte the loop the apps
-  carried before the reactor existed.
+- ``scheduler="threads"``: a dedicated accept thread blocks in
+  ``accept(timeout=None)``.  Closing the listener wakes it with the
+  typed closed-listener :class:`~repro.core.errors.NetworkError`, so an
+  idle server issues no syscall and charges no cycle.  Generator jobs
+  run on the calling thread under :func:`repro.core.reactor.run_blocking`.
 - ``scheduler="reactor"``: a cooperative acceptor task on the kernel's
-  readiness loop (woken by the listener, never polling), which runs the
-  handler through the reactor's thread-pool escape hatch.  Pool size 1
-  keeps the accept→handle→accept sequencing of the threaded oracle, so
-  chaos fault ordering and response bytes are identical.
+  readiness loop.  Generator jobs are driven inline (``yield from``) or
+  as their own task; blocking jobs go to the reactor's size-1 offload
+  pool, which keeps the threaded runner's accept→handle→accept order,
+  so chaos fault ordering and response bytes are identical.
 
-The app supplies ``on_conn(conn_fd) -> job``: called *synchronously* in
-loop order (bump counters, fork per-connection RNGs here — order is the
-determinism contract), returning either the zero-argument callable that
-serves the connection or — under the reactor — a *generator*, which the
-acceptor task drives inline (``yield from``) instead of burning a pool
-thread on it.  Either way the job owns conn_fd's lifecycle, including
-close.
+Serving is sequential unless the server sets ``concurrent``, which gives
+each connection its own thread (threads) or task/pool slot (reactor).
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import threading
-import types
 
 from repro.core.errors import KernelDead, NetworkError, WedgeError
+from repro.core.reactor import run_blocking
 
 
-def start_accept_loop(kernel, listen_fd, on_conn, *, stop, name,
-                      concurrent=False):
-    """Start serving *listen_fd*; returns a runner with ``join(timeout)``.
+class Server:
+    """Listener, accept loop and per-connection wrapper of an app server.
 
-    *stop* is the server's ``threading.Event``; set it (and close the
-    listen fd) to wind the loop down.  ``concurrent=True`` serves each
-    connection on its own worker instead of sequentially.
+    A subclass sets ``self.kernel`` and ``self.addr``, calls
+    ``super().__init__()`` and implements ``handle_connection``.
     """
-    if kernel.scheduler == "reactor":
-        runner = _ReactorRunner(kernel, listen_fd, on_conn, stop=stop,
-                                name=name, concurrent=concurrent)
-    else:
-        runner = _ThreadRunner(kernel, listen_fd, on_conn, stop=stop,
-                               name=name, concurrent=concurrent)
-    runner.start()
-    return runner
+
+    #: serve each connection on its own worker instead of sequentially
+    concurrent = False
+
+    def __init__(self):
+        self._listen_fd = None
+        self._runner = None
+        self._stop = threading.Event()
+        self.connections_served = 0
+        self.errors = []
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def start(self):
+        """Bind the listener and start accepting connections."""
+        if self._runner is not None:
+            raise WedgeError(f"{self.kernel.name} already started")
+        self._listen_fd = self.kernel.listen(self.addr)
+        self._runner = _RUNNERS[self.kernel.scheduler](
+            self, f"{self.kernel.name}-accept")
+        return self
+
+    def stop(self):
+        self._stop.set()
+        try:
+            self.kernel.close(self._listen_fd)
+        except WedgeError:
+            pass
+        if self._runner is not None:
+            self._runner.join(5.0)
+
+    # -- per connection ----------------------------------------------------
+
+    def _on_conn(self, conn_fd):
+        """The runner's hand-off, called in accept order; returns the job.
+
+        Counting here, before the next accept, is the determinism
+        contract: per-connection RNG forks and compartment names read
+        ``connections_served``.  A generator ``handle_connection`` gives
+        a generator job; a blocking one a zero-argument callable.
+        """
+        self.connections_served += 1
+        job = self._serve(conn_fd)
+        if inspect.isgeneratorfunction(self.handle_connection):
+            return job
+        return functools.partial(run_blocking, job)
+
+    def _serve(self, conn_fd):
+        """The wrapper: run the body, record a typed failure, close."""
+        try:
+            body = self.handle_connection(conn_fd)
+            if inspect.isgenerator(body):
+                yield from body
+        except WedgeError as exc:
+            self._record(exc)
+        finally:
+            try:
+                self.kernel.close(conn_fd)
+            except WedgeError:
+                pass
+
+    def _record(self, exc):
+        self.errors.append(f"{type(exc).__name__}: {exc}")
+
+    def handle_connection(self, conn_fd):
+        raise NotImplementedError
 
 
 class _ThreadRunner:
-    """The threaded oracle: a dedicated accept thread, 0.5 s poll."""
+    """A dedicated accept thread, blocked in ``accept`` while idle."""
 
-    def __init__(self, kernel, listen_fd, on_conn, *, stop, name,
-                 concurrent):
-        self.kernel = kernel
-        self.listen_fd = listen_fd
-        self.on_conn = on_conn
-        self.stop = stop
+    def __init__(self, server, name):
+        self.server = server
         self.name = name
-        self.concurrent = concurrent
-        self._thread = None
-        self._served = 0
-
-    def start(self):
-        self._thread = threading.Thread(
-            target=self._loop, name=self.name, daemon=True)
+        self._thread = threading.Thread(target=self._loop, name=name,
+                                        daemon=True)
         self._thread.start()
 
     def _loop(self):
-        while not self.stop.is_set():
+        server = self.server
+        while True:
             try:
-                conn_fd = self.kernel.accept(self.listen_fd, timeout=0.5)
-            except KernelDead:
-                return   # the host kernel died: no spinning on a ghost
+                conn_fd = server.kernel.accept(server._listen_fd,
+                                               timeout=None)
+            except (KernelDead, NetworkError):
+                return   # the host died or the listener closed
             except WedgeError:
+                if server._stop.is_set():
+                    return   # the listen fd is already closed
                 continue
-            self._served += 1
-            job = self.on_conn(conn_fd)
-            if self.concurrent:
+            job = server._on_conn(conn_fd)
+            if inspect.isgenerator(job):
+                job = functools.partial(run_blocking, job)
+            if server.concurrent:
                 threading.Thread(
-                    target=job, name=f"{self.name}-conn{self._served}",
-                    daemon=True).start()
+                    target=job, daemon=True,
+                    name=f"{self.name}-conn{server.connections_served}",
+                ).start()
             else:
                 job()
 
-    def join(self, timeout=None):
-        if self._thread is not None:
-            self._thread.join(timeout)
+    def join(self, timeout):
+        self._thread.join(timeout)
 
 
 class _ReactorRunner:
     """The cooperative acceptor: one task, woken by listener readiness."""
 
-    def __init__(self, kernel, listen_fd, on_conn, *, stop, name,
-                 concurrent):
-        self.kernel = kernel
-        self.listen_fd = listen_fd
-        self.on_conn = on_conn
-        self.stop = stop
+    def __init__(self, server, name):
+        self.server = server
         self.name = name
-        self.concurrent = concurrent
-        self.task = None
-
-    def start(self):
-        reactor = self.kernel.reactor
+        reactor = server.kernel.reactor
         reactor.ensure_running()
-        self.task = reactor.spawn(self._loop(), name=self.name)
+        self.task = reactor.spawn(self._loop(reactor), name=name)
 
-    def _loop(self):
-        kernel = self.kernel
-        reactor = kernel.reactor
-        while not self.stop.is_set():
+    def _loop(self, reactor):
+        server = self.server
+        while True:
             try:
-                conn_fd = yield from kernel.co_accept(self.listen_fd,
-                                                      timeout=None)
-            except KernelDead:
-                return
-            except NetworkError:
-                return   # listener closed: the cooperative stop signal
+                conn_fd = yield from server.kernel.co_accept(
+                    server._listen_fd, timeout=None)
+            except (KernelDead, NetworkError):
+                return   # the host died or the listener closed
             except WedgeError:
+                if server._stop.is_set():
+                    return   # the listen fd is already closed
                 continue
-            job = self.on_conn(conn_fd)
-            if isinstance(job, types.GeneratorType):
-                # cooperative job: no pool thread at all — driven on
-                # this task (sequential: identical serving order to the
-                # threaded oracle) or as its own task (concurrent)
-                if self.concurrent:
+            job = server._on_conn(conn_fd)
+            if inspect.isgenerator(job):
+                # cooperative job: no pool thread at all
+                if server.concurrent:
                     reactor.spawn(job, name=f"{self.name}-conn")
                 else:
                     yield from job
-            elif self.concurrent:
+            elif server.concurrent:
                 reactor.submit(job)
             else:
-                # pool size 1 → same sequential serving order as the
-                # threaded oracle, without blocking the readiness loop
+                # pool size 1 → the threaded runner's sequential order,
+                # without blocking the readiness loop
                 yield from reactor.offload(job)
 
-    def join(self, timeout=None):
-        if self.task is not None:
-            self.task.wait(timeout)
+    def join(self, timeout):
+        self.task.wait(timeout)
+
+
+_RUNNERS = {"threads": _ThreadRunner, "reactor": _ReactorRunner}

@@ -71,6 +71,11 @@ COMPARE_SURGE = 6
 #: cost-model retunes, not noise).
 CYCLES_TOLERANCE = 0.10
 
+#: The opt-in scale leg's latency percentiles (model cycles), present
+#: only when the campaign ran with ``connections > 0``.
+SCALE_METRICS = ("scale_p50_cycles", "scale_p95_cycles",
+                 "scale_p99_cycles")
+
 
 def overload_app_names():
     from repro.faults.chaos import CHAOS_APP_NAMES
@@ -441,9 +446,8 @@ class OverloadReport:
                                    for app, s in self.surges.items()},
         }
         if self.scale is not None:
-            metrics["scale_p50_cycles"] = self.scale.p50
-            metrics["scale_p95_cycles"] = self.scale.p95
-            metrics["scale_p99_cycles"] = self.scale.p99
+            metrics.update(zip(SCALE_METRICS, (
+                self.scale.p50, self.scale.p95, self.scale.p99)))
             wall["scale_seconds"] = self.scale.wall_seconds
             info["scale"] = {
                 "connections": self.scale.connections,
@@ -488,22 +492,24 @@ def run_overload(apps=None, *, clients=DEFAULT_CLIENTS,
     return report
 
 
-def check_artifact(new, baseline, *, tolerance=GOODPUT_TOLERANCE):
+def check_artifact(new, baseline, *, tolerance=GOODPUT_TOLERANCE,
+                   optional=()):
     """Compare a fresh artifact against the committed baseline.
 
     Returns a list of problem strings (empty = clean).  Goodput is
     checked inverted — a drop beyond *tolerance* fails; a shed-rate
     *rise* beyond tolerance (plus an absolute epsilon for near-zero
-    baselines) fails too.  ``_cycles`` keys (the scale leg's latency
-    percentiles) check in the usual model-cycle direction — higher is
-    the regression — and are skipped when the fresh run did not include
-    the scale leg (it is opt-in via ``--connections``).
+    baselines) fails too.  ``_cycles`` keys check in the usual
+    model-cycle direction — higher is the regression.  A baseline key
+    missing from the fresh run fails unless it is in *optional* (the
+    overload scale leg's :data:`SCALE_METRICS` when ``--connections``
+    was not given).
     """
     problems = []
     for key, old in sorted(baseline.get("metrics", {}).items()):
         value = new.get("metrics", {}).get(key)
         if value is None:
-            if not key.endswith("_cycles"):
+            if key not in optional:
                 problems.append(f"{key}: missing from new run")
             continue
         if key.endswith("_cycles"):

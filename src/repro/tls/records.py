@@ -108,14 +108,6 @@ class RecordChannel:
     def activate_recv(self, enc_key, mac_key):
         self._recv = Directions(enc_key, mac_key)
 
-    @property
-    def send_protected(self):
-        return self._send is not None
-
-    @property
-    def recv_protected(self):
-        return self._recv is not None
-
     def send_record(self, rtype, payload):
         if self._send is None:
             body = payload
@@ -181,17 +173,6 @@ class StreamTransport:
 
     def close(self):
         self.sock.close()
-
-
-def read_raw_frame_bytes(transport):
-    """Read one frame and return it *unopened* as raw wire bytes.
-
-    The SSL handshake sthread uses this to receive the client's encrypted
-    Finished record without being able to decrypt it — it forwards the
-    bytes to the ``receive_finished`` callgate (paper Figure 4).
-    """
-    rtype, body = read_frame(transport)
-    return rtype, body
 
 
 class ChannelClosed(ConnectionClosed):

@@ -13,7 +13,7 @@ one of these operations runs with full privilege in one compartment.
 
 from __future__ import annotations
 
-from repro.core.errors import HandshakeFailure, ProtocolError
+from repro.core.errors import HandshakeFailure
 from repro.crypto.mac import constant_time_eq
 from repro.crypto.prf import (derive_key_block, derive_master_secret,
                               finished_verify_data)
@@ -22,11 +22,9 @@ from repro.tls import records
 from repro.tls.handshake import (CERT_FLAG_EPHEMERAL, HS_CLIENT_HELLO,
                                  HS_CLIENT_KEY_EXCHANGE, HS_FINISHED,
                                  RANDOM_LEN, SESSION_ID_LEN, Certificate,
-                                 ClientHello, Finished, ServerHello,
-                                 ServerKeyExchange, Transcript,
-                                 parse_handshake)
-from repro.tls.records import (RT_APPDATA, RT_CHANGE_CIPHER, RT_HANDSHAKE,
-                               RecordChannel)
+                                 Finished, ServerHello, ServerKeyExchange,
+                                 Transcript, parse_handshake)
+from repro.tls.records import RT_CHANGE_CIPHER, RT_HANDSHAKE, RecordChannel
 
 # ---------------------------------------------------------------------------
 # privileged primitives (callgate bodies call these)
@@ -217,21 +215,3 @@ class ServerHandshake:
             self.session_cache.store(session_id, self.master)
         return channel
 
-
-def serve_app_data(channel, handler):
-    """Drive one request/response exchange over a protected channel.
-
-    Reads application-data records until the handler says the request is
-    complete, then writes the response.  Returns the request bytes.
-    """
-    request = bytearray()
-    while True:
-        rtype, payload = channel.recv_record()
-        if rtype != RT_APPDATA:
-            raise ProtocolError(f"unexpected record type {rtype}")
-        request += payload
-        if handler.request_complete(bytes(request)):
-            break
-    response = handler.respond(bytes(request))
-    channel.send_record(RT_APPDATA, response)
-    return bytes(request)

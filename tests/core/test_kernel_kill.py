@@ -1,10 +1,14 @@
 """Kernel.kill(): the whole-machine fault domain behind the cluster."""
 
+import threading
+import time
+
 import pytest
 
 from repro.apps.httpd.monolithic import MonolithicHttpd
 from repro.core.errors import ConnectionRefused, KernelDead, PeerReset
 from repro.core.kernel import Kernel
+from repro.core.reactor import run_blocking
 from repro.net import Network
 
 
@@ -54,6 +58,22 @@ class TestKill:
         kernel.kill()
         with pytest.raises(PeerReset):
             client.recv(1, timeout=2.0)
+
+    def test_kill_wakes_a_silent_pipe_waiter(self):
+        # a co_* wait issues no syscall, so only the teardown can end it
+        _, kernel = make_kernel()
+        read_fd, _write_fd = kernel.pipe()
+        waiting = kernel.co_wait_readable(read_fd, timeout=5.0)
+        killer = threading.Timer(0.1, kernel.kill)
+        killer.start()
+        start = time.monotonic()
+        try:
+            run_blocking(waiting)
+        finally:
+            killer.join()
+        assert time.monotonic() - start < 2.0
+        with pytest.raises(KernelDead):
+            kernel.recv(read_fd, 1)
 
 
 class TestKilledServer:

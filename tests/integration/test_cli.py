@@ -1,5 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -85,3 +88,38 @@ class TestCommands:
         assert main(["table2-ssh"]) == 0
         out = capsys.readouterr().out
         assert "vanilla" in out and "wedge" in out
+
+
+class TestEmitAndCheck:
+    """The artifact write and baseline gate every campaign command shares."""
+
+    BASELINES = os.path.join(os.path.dirname(__file__), os.pardir,
+                             os.pardir, "benchmarks", "baselines")
+
+    def _recovery(self, out, check):
+        return main(["recovery", "--seed", "1", "--stride", "50",
+                     "--out", str(out), "--check", str(check)])
+
+    def test_writes_and_passes_against_the_baseline(self, tmp_path,
+                                                     capsys):
+        assert self._recovery(tmp_path, self.BASELINES) == 0
+        out = capsys.readouterr().out
+        assert f"wrote {tmp_path / 'BENCH_recovery.json'}" in out
+        assert "model cycles within tolerance of" in out
+        with open(tmp_path / "BENCH_recovery.json") as fh:
+            assert json.load(fh)["artifact"] == "recovery"
+
+    def test_regression_and_missing_baseline_exit_codes(self, tmp_path,
+                                                        capsys):
+        with open(os.path.join(self.BASELINES,
+                               "BENCH_recovery.json")) as fh:
+            baseline = json.load(fh)
+        baseline["metrics"]["recovery_ckpt_cycles"] //= 2
+        strict = tmp_path / "strict"
+        strict.mkdir()
+        with open(strict / "BENCH_recovery.json", "w") as fh:
+            json.dump(baseline, fh)
+        assert self._recovery(tmp_path / "out", strict) == 1
+        assert "REGRESSION vs" in capsys.readouterr().out
+        assert self._recovery(tmp_path / "out", tmp_path / "none") == 2
+        assert "no baseline at" in capsys.readouterr().err

@@ -9,10 +9,12 @@ serving the same seeded sessions under both schedulers and demanding
 * byte-identical sensitive-state snapshots, and
 * identical kernel event streams per compartment — kind, compartment
   and payload fields, event for event — once the one legitimately
-  scheduler-shaped artifact is set aside: the threaded accept loop
-  *polls* ``accept`` on a short timeout (a nondeterministic number of
-  enter/exit pairs per wait), while the reactor calls it exactly once
-  per readiness.  The comparison is per compartment because the apps
+  scheduler-shaped artifact is set aside: *when* ``accept`` is entered.
+  The threaded accept loop blocks inside ``accept`` before its
+  connection exists, so its enter event can precede the sink attaching,
+  while the reactor enters ``accept`` only at readiness.  Neither polls;
+  the ``net.accept`` event of every real connection is still compared.
+  The comparison is per compartment because the apps
   themselves are concurrent either way — a spawner's ``sthread_create``
   exit event races its child compartment's first events in *both*
   modes — so the cross-compartment interleaving is the one ordering
@@ -53,9 +55,10 @@ class _EventLog:
 def _essence(events):
     """The scheduler-independent projection of an event stream.
 
-    Drops the ``accept`` syscall enter/exit pairs (poll-shaped, see the
-    module docstring) and the cycle/sequence stamps (the polls charge
-    cycles too), then partitions by compartment, order preserved:
+    Drops the ``accept`` syscall enter/exit pairs (entered before or at
+    readiness, see the module docstring) and the cycle/sequence stamps
+    (an accept entered before the sink attached charged its cycles
+    unseen), then partitions by compartment, order preserved:
     ``{comp: [(kind, fields), ...]}``.
     """
     out = {}

@@ -1,10 +1,17 @@
 """The overload campaign at test scale: bounded, deterministic, correct."""
 
+import copy
+import json
+import os
+
 import pytest
 
-from repro.resilience.overload import (backpressure_probe, check_artifact,
-                                       run_comparison, run_overload,
-                                       run_surge)
+from repro.resilience.overload import (SCALE_METRICS, backpressure_probe,
+                                       check_artifact, run_comparison,
+                                       run_overload, run_surge)
+
+BASELINES = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                         "benchmarks", "baselines")
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +105,22 @@ class TestCampaignAndArtifact:
         baseline = {"metrics": {"pop3_goodput": 0.5}}
         problems = check_artifact({"metrics": {}}, baseline)
         assert problems and "missing" in problems[0]
+
+    def test_check_flags_a_missing_cycles_metric(self):
+        with open(os.path.join(BASELINES, "BENCH_kv.json")) as fh:
+            baseline = json.load(fh)
+        fresh = copy.deepcopy(baseline)
+        del fresh["metrics"]["kv_hit_cycles"]
+        assert check_artifact(baseline, baseline) == []
+        assert check_artifact(fresh, baseline) == [
+            "kv_hit_cycles: missing from new run"]
+
+    def test_only_the_opt_in_scale_leg_may_be_absent(self):
+        baseline = {"metrics": {"pop3_goodput": 0.5,
+                                **dict.fromkeys(SCALE_METRICS, 1000)}}
+        fresh = {"metrics": {"pop3_goodput": 0.5}}
+        assert check_artifact(fresh, baseline,
+                              optional=SCALE_METRICS) == []
+        problems = check_artifact(fresh, baseline)
+        assert len(problems) == len(SCALE_METRICS)
+        assert all("missing" in problem for problem in problems)
